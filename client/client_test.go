@@ -212,23 +212,37 @@ func TestClientRateLimited(t *testing.T) {
 // TestClientConcurrentPipelined shares one Client across goroutines: all
 // their requests pipeline on the single connection and every response
 // must find its way back to the caller that sent it.
+// TestClientConcurrentPipelined drives many callers through one real-socket
+// client, so the server serves the connection's queries on its pipeline
+// workers concurrently. The callers rotate over many sessions: any
+// per-connection session state the workers share without a lock (such as
+// a session-ID cache) crashes the process or trips the race detector
+// here. Every session's Answered must come out exact.
 func TestClientConcurrentPipelined(t *testing.T) {
 	addr, _ := startServer(t, server.WireConfig{})
 	c := dial(t, addr, client.Options{})
 
-	sess, err := c.Create(sparseParams())
-	if err != nil {
-		t.Fatalf("Create: %v", err)
+	const sessions, callers, perCaller = 64, 64, 64
+	ids := make([]string, sessions)
+	for i := range ids {
+		sess, err := c.Create(sparseParams())
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		ids[i] = sess.ID
 	}
-	const goroutines, perG = 8, 40
 	var wg sync.WaitGroup
-	errs := make(chan error, goroutines)
-	for g := 0; g < goroutines; g++ {
+	errs := make(chan error, callers)
+	for g := 0; g < callers; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perG; i++ {
-				res, err := c.Query(sess.ID, []client.QueryItem{{Query: 0, Threshold: client.Float(1e12)}})
+			for i := 0; i < perCaller; i++ {
+				// Caller g's i-th query goes to session (g+i) mod sessions:
+				// each caller visits every session once per lap, and each
+				// session is asked by every caller.
+				id := ids[(g+i)%sessions]
+				res, err := c.Query(id, []client.QueryItem{{Query: 0, Threshold: client.Float(1e12)}})
 				if err != nil {
 					errs <- err
 					return
@@ -245,12 +259,15 @@ func TestClientConcurrentPipelined(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("concurrent query: %v", err)
 	}
-	st, err := c.Status(sess.ID)
-	if err != nil {
-		t.Fatalf("Status: %v", err)
-	}
-	if st.Answered != goroutines*perG {
-		t.Fatalf("Answered = %d, want %d", st.Answered, goroutines*perG)
+	want := callers * perCaller / sessions
+	for _, id := range ids {
+		st, err := c.Status(id)
+		if err != nil {
+			t.Fatalf("Status: %v", err)
+		}
+		if st.Answered != want {
+			t.Fatalf("session %s Answered = %d, want %d", id, st.Answered, want)
+		}
 	}
 }
 

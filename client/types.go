@@ -1,12 +1,16 @@
 package client
 
-import "time"
+import (
+	"time"
 
-// The request/response types mirror the server's JSON API field for
-// field (same names, same tags) without importing the server package, so
-// the SDK links without pulling in the service. The cold wire ops carry
-// exactly these JSON bodies; the hot query path carries their binary
-// equivalents from the wire package.
+	"github.com/dpgo/svt/wire"
+)
+
+// The request/response types carry the server's JSON API field names and
+// tags without importing the server package, so the SDK links without
+// pulling in the service; the cold wire ops carry exactly these JSON
+// bodies. QueryResult is shared rather than copied: it is the wire
+// package's Result, the one result type both sides use.
 
 // CreateParams configures a new session (POST /v1/sessions body /
 // OpCreate body). The tenant is not a field: it is fixed per connection
@@ -83,19 +87,9 @@ type QueryItem struct {
 	Buckets []int `json:"buckets,omitempty"`
 }
 
-// QueryResult is one released answer.
-type QueryResult struct {
-	// Above is the ⊤/⊥ indicator.
-	Above bool `json:"above"`
-	// Numeric reports that Value carries a released number.
-	Numeric bool `json:"numeric,omitempty"`
-	// Value is the released number when Numeric is set.
-	Value float64 `json:"value,omitempty"`
-	// FromSynthetic marks answers served from a synthetic dataset.
-	FromSynthetic bool `json:"fromSynthetic,omitempty"`
-	// Exhausted marks answers refused because the session halted.
-	Exhausted bool `json:"exhausted,omitempty"`
-}
+// QueryResult is one released answer: the wire package's Result, which
+// the query response decodes into directly.
+type QueryResult = wire.Result
 
 // BatchResult is the outcome of one query batch.
 type BatchResult struct {

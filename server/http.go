@@ -84,10 +84,11 @@ type API struct {
 	// response is otherwise invisible.
 	encodeFailures atomic.Uint64
 
-	// inFlight counts /v1/ requests currently inside ServeHTTP when the
-	// MaxInFlight shed gate is armed (it stays untouched at 0 otherwise;
-	// the telemetry in-flight gauge is separate and covers every route).
-	inFlight atomic.Int64
+	// gate is the MaxInFlight shed gate over /v1/ requests (the telemetry
+	// in-flight gauge is separate and covers every route).
+	gate admission
+	// query is the /query step shared with the wire edge.
+	query queryPath
 
 	// tel is nil when the API runs without a telemetry registry; ServeHTTP
 	// then degenerates to a bare mux dispatch.
@@ -96,14 +97,6 @@ type API struct {
 	// stats and metrics paths for per-tenant rejection counts. Atomic so a
 	// limiter can be attached after the API is already serving.
 	limiter atomic.Pointer[RateLimiter]
-	// slowQueryNanos is cfg.SlowQueryThreshold in nanoseconds, 0 when
-	// slow-query tracing is off.
-	slowQueryNanos int64
-	// slow receives slow-query trace lines.
-	slow *slog.Logger
-	// tracer is nil when tracing is off; Sample and the span methods are
-	// nil-safe, so the hot path never branches on it.
-	tracer *trace.Tracer
 
 	// logf emits operational warnings; swappable in tests.
 	logf func(format string, args ...any)
@@ -118,12 +111,15 @@ func NewAPI(mgr *SessionManager, cfg APIConfig) *API {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
 	a := &API{mgr: mgr, cfg: cfg, mux: http.NewServeMux(), logf: log.Printf}
-	a.slowQueryNanos = int64(cfg.SlowQueryThreshold)
-	a.slow = cfg.Logger
-	if a.slow == nil {
-		a.slow = slog.Default()
+	a.gate = admission{max: int64(cfg.MaxInFlight), shed: &mgr.shedHTTP, refusal: newRefusal("request")}
+	a.query = queryPath{
+		mgr: mgr, tracer: cfg.Tracer, maxBatch: cfg.MaxBatch,
+		name: "http", route: "/v1/sessions/{id}/query",
+		slowNanos: int64(cfg.SlowQueryThreshold), slow: cfg.Logger,
 	}
-	a.tracer = cfg.Tracer
+	if a.query.slow == nil {
+		a.query.slow = slog.Default()
+	}
 	patterns := []string{
 		"/v1/mechanisms",
 		"/v1/sessions",
@@ -165,15 +161,12 @@ func (a *API) SetRateLimiter(rl *RateLimiter) {
 // capture, and a sampled route-latency observation keyed by the mux
 // pattern the request actually matched.
 func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if a.cfg.MaxInFlight > 0 && strings.HasPrefix(r.URL.Path, "/v1/") {
-		if a.inFlight.Add(1) > int64(a.cfg.MaxInFlight) {
-			a.inFlight.Add(-1)
-			a.mgr.shedHTTP.Add(1)
-			a.writeUnavailable(w, CodeUnavailable,
-				"server overloaded: in-flight request cap reached, retry shortly")
+	if strings.HasPrefix(r.URL.Path, "/v1/") {
+		if !a.gate.admit() {
+			a.writeFailure(w, a.gate.refusal)
 			return
 		}
-		defer a.inFlight.Add(-1)
+		defer a.gate.release()
 	}
 	t := a.tel
 	if t == nil {
@@ -239,8 +232,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	return json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	_ = writeJSON(w, status, ErrorBody{ErrorDetail{Code: code, Message: msg}})
+// writeFailure writes f as the uniform error envelope, with the status
+// its code maps to and, when f is retryable, a Retry-After header: every
+// 503 and 429 this server emits carries the hint.
+func writeFailure(w http.ResponseWriter, f failure) error {
+	if f.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.FormatUint(f.retryAfter, 10))
+	}
+	return writeJSON(w, httpStatus(f.code), ErrorBody{ErrorDetail{Code: f.code, Message: f.msg}})
 }
 
 // writeJSON is the API's counting variant: an encode or write failure can
@@ -253,34 +252,15 @@ func (a *API) writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-func (a *API) writeError(w http.ResponseWriter, status int, code, msg string) {
-	a.writeJSON(w, status, ErrorBody{ErrorDetail{Code: code, Message: msg}})
-}
-
-// writeUnavailable writes a 503 that consistently carries Retry-After,
-// whatever the code (store_failure or unavailable): every 503 this API
-// emits is retryable by construction, so every one carries the hint.
-func (a *API) writeUnavailable(w http.ResponseWriter, code, msg string) {
-	w.Header().Set("Retry-After", strconv.Itoa(DefaultRetryAfterSeconds))
-	a.writeError(w, http.StatusServiceUnavailable, code, msg)
+func (a *API) writeFailure(w http.ResponseWriter, f failure) {
+	if err := writeFailure(w, f); err != nil {
+		a.countEncodeFailure(err)
+	}
 }
 
 func (a *API) countEncodeFailure(err error) {
 	a.encodeFailures.Add(1)
 	a.logf("server: response encode/write failed (response truncated): %v", err)
-}
-
-// writeBodyTooLarge and writeBatchTooLarge format the two 413 responses.
-// They live outside the //svt:hotpath scope on purpose: a request that
-// trips a cap is already off the fast path, so it may pay for fmt.
-func (a *API) writeBodyTooLarge(w http.ResponseWriter) {
-	a.writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-		fmt.Sprintf("request body exceeds %d bytes", a.cfg.MaxBodyBytes))
-}
-
-func (a *API) writeBatchTooLarge(w http.ResponseWriter, n int) {
-	a.writeError(w, http.StatusRequestEntityTooLarge, CodeTooLarge,
-		fmt.Sprintf("batch of %d exceeds the cap of %d", n, a.cfg.MaxBatch))
 }
 
 // decodeBody decodes one JSON value, enforcing the body-size cap and
@@ -290,28 +270,23 @@ func (a *API) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			a.writeBodyTooLarge(w)
-			return false
-		}
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
+		a.writeFailure(w, a.bodyFailure(err))
 		return false
 	}
 	if dec.More() {
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "trailing data after JSON body")
+		a.writeFailure(w, failure{CodeBadRequest, "trailing data after JSON body", 0})
 		return false
 	}
 	return true
 }
 
 func (a *API) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	a.writeError(w, http.StatusNotFound, CodeNotFound, "no such endpoint: "+r.URL.Path)
+	a.writeFailure(w, failure{CodeNotFound, "no such endpoint: " + r.URL.Path, 0})
 }
 
 func (a *API) methodNotAllowed(w http.ResponseWriter, want string) {
 	w.Header().Set("Allow", want)
-	a.writeError(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, want+" required")
+	a.writeFailure(w, failure{CodeMethodNotAllowed, want + " required", 0})
 }
 
 // CreateResponse is the POST /v1/sessions response body.
@@ -335,21 +310,14 @@ func (a *API) handleSessions(w http.ResponseWriter, r *http.Request) {
 	// the body set it would let one tenant book sessions against another.
 	params.Tenant = r.Header.Get(TenantHeader)
 	s, err := a.mgr.Create(params)
-	switch {
-	case errors.Is(err, ErrTooManySessions):
-		a.writeError(w, http.StatusTooManyRequests, CodeTooManySessions, err.Error())
-	case errors.Is(err, ErrUnavailable):
-		a.writeUnavailable(w, CodeUnavailable, err.Error())
-	case errors.Is(err, ErrStoreAppend):
-		a.writeUnavailable(w, CodeStoreFailure, err.Error())
-	case err != nil:
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-	default:
-		a.writeJSON(w, http.StatusCreated, CreateResponse{
-			SessionStatus: s.Status(),
-			TTLSeconds:    s.ttl.Seconds(),
-		})
+	if err != nil {
+		a.writeFailure(w, managerFailure(err, ""))
+		return
 	}
+	a.writeJSON(w, http.StatusCreated, CreateResponse{
+		SessionStatus: s.Status(),
+		TTLSeconds:    s.ttl.Seconds(),
+	})
 }
 
 func (a *API) handleSession(w http.ResponseWriter, r *http.Request) {
@@ -358,13 +326,13 @@ func (a *API) handleSession(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		s, ok := a.mgr.Get(id)
 		if !ok {
-			a.writeError(w, http.StatusNotFound, CodeNotFound, "no such session: "+id)
+			a.writeFailure(w, failure{CodeNotFound, "no such session: " + id, 0})
 			return
 		}
 		a.writeJSON(w, http.StatusOK, s.Status())
 	case http.MethodDelete:
 		if !a.mgr.Delete(id) {
-			a.writeError(w, http.StatusNotFound, CodeNotFound, "no such session: "+id)
+			a.writeFailure(w, failure{CodeNotFound, "no such session: " + id, 0})
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
@@ -384,11 +352,10 @@ type queryRequest struct {
 // recycled through queryPool so the steady state allocates neither request
 // buffers, decoded requests, result slices nor response buffers.
 type queryScratch struct {
-	req     queryRequest
-	one     [1]QueryItem
-	results []QueryResult
-	buf     []byte // body read, then reused for the response encode
-	trace   QueryTrace
+	req  queryRequest
+	one  [1]QueryItem
+	buf  []byte // body read, then reused for the response encode
+	call queryCall
 }
 
 var queryPool = sync.Pool{New: func() any {
@@ -415,10 +382,10 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// handleQuery is the serving hot path: pooled scratch in, one
-// json.Unmarshal of the raw body (no Decoder allocation; Unmarshal rejects
-// trailing garbage by itself), results appended into a recycled slice, and
-// a hand-rolled response encode into a recycled buffer.
+// handleQuery is the HTTP codec around the shared query step: pooled
+// scratch in, one json.Unmarshal of the raw body (no Decoder allocation;
+// Unmarshal rejects trailing garbage by itself), the step, and a
+// hand-rolled response encode into a recycled buffer.
 //
 //svt:hotpath
 func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -429,144 +396,83 @@ func (a *API) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sc := queryPool.Get().(*queryScratch)
 	defer func() {
 		sc.req = queryRequest{} // drop decoded pointers; keeps nothing alive
-		sc.trace = QueryTrace{} // drop the span; a pooled scratch must not pin a trace
+		sc.call.reset()
 		queryPool.Put(sc)
 	}()
+	q := &sc.call
+	// The canonical-form keys matter: Header.Get on a non-canonical key
+	// ("traceparent") pays a per-call canonicalization allocation.
+	q.corr = r.Header.Get("X-Request-Id")
+	q.tpID, _, q.hasTP = trace.ParseTraceparent(r.Header.Get("Traceparent"))
+	q.decodeStart = a.query.decodeClock()
+	q.fail = a.decodeQuery(w, r, sc)
+	q.session = r.PathValue("id")
+	a.query.serve(q)
+	defer q.root.End()
 	// Correlation: every /query response carries an X-Request-Id — the
 	// client's own when it sent one, a freshly minted one otherwise — so
 	// any response can be quoted in a support ticket and matched to logs.
-	// The mint is two small allocations, which the hot-path allocation
-	// budget absorbs (see TestQueryHotPathAllocs).
-	reqID := r.Header.Get("X-Request-Id")
-	hasCorr := reqID != ""
-	if !hasCorr {
-		reqID = newRequestID()
-	}
-	w.Header().Set("X-Request-Id", reqID)
-	// Head-sample the trace decision before any work so the decode is
-	// inside the trace. A request already carrying correlation (a valid
-	// traceparent or its own request ID) is always sampled: someone
-	// upstream is following it.
-	// The canonical-form key matters: Header.Get on a non-canonical key
-	// ("traceparent") pays a per-call canonicalization allocation.
-	tpID, _, hasTP := trace.ParseTraceparent(r.Header.Get("Traceparent"))
-	var root *trace.Span
-	if a.tracer.Sample(hasCorr || hasTP) {
-		var tid trace.TraceID
-		if hasTP {
-			tid = tpID
-		}
-		root = a.tracer.StartRoot("http", "/v1/sessions/{id}/query", reqID, tid)
-		w.Header().Set("Traceparent", trace.FormatTraceparent(root.TraceID(), root.SpanID()))
+	w.Header().Set("X-Request-Id", q.reqID)
+	if q.root != nil {
+		w.Header().Set("Traceparent", trace.FormatTraceparent(q.root.TraceID(), q.root.SpanID()))
 		if sw, ok := w.(*statusWriter); ok {
-			sw.exemplar = root.TraceIDString()
+			sw.exemplar = q.root.TraceIDString()
 		}
-		defer root.End()
 	}
-	ds := root.StartChild("decode")
-	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
-	body, err := readBody(r.Body, sc.buf[:0])
-	sc.buf = body[:0]
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			a.writeBodyTooLarge(w)
-			return
-		}
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
+	if q.fail.code != "" {
+		a.writeFailure(w, q.fail)
 		return
 	}
-	if err := json.Unmarshal(body, &sc.req); err != nil {
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "bad request body: "+err.Error())
+	es := q.root.StartChild("encode")
+	defer es.End()
+	out, ok := appendBatchResultJSON(sc.buf[:0], &q.res)
+	sc.buf = out[:0]
+	if !ok {
+		// A non-finite released value cannot be represented in JSON;
+		// fall back to the stdlib path so the failure is accounted the
+		// same way it always was.
+		a.writeJSON(w, http.StatusOK, q.res)
 		return
 	}
-	ds.End()
-	items := sc.req.Queries
-	if items == nil {
-		sc.one[0] = sc.req.QueryItem
-		items = sc.one[:]
-	}
-	switch {
-	case len(items) == 0:
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, "empty query batch")
-		return
-	case len(items) > a.cfg.MaxBatch:
-		a.writeBatchTooLarge(w, len(items))
-		return
-	}
-	id := r.PathValue("id")
-	root.SetAttr("session", id)
-	root.SetAttrInt("batch", int64(len(items)))
-	var res BatchResult
-	if a.slowQueryNanos > 0 || root != nil {
-		// The traced manager path is opt-in: only a slow-query threshold
-		// or a sampled trace makes the request read the clock twice and
-		// thread a trace through the manager.
-		start := telemetry.Now()
-		sc.trace = QueryTrace{TraceID: reqID, Span: root}
-		res, err = a.mgr.QueryTraced(id, items, sc.results[:0], &sc.trace)
-		if a.slowQueryNanos > 0 {
-			if dur := telemetry.Now() - start; dur >= a.slowQueryNanos {
-				a.logSlowQuery(&sc.trace, id, len(items), dur, err)
-			}
-		}
-	} else {
-		res, err = a.mgr.QueryInto(id, items, sc.results[:0])
-	}
-	if cap(res.Results) > cap(sc.results) {
-		sc.results = res.Results[:0]
-	}
-	switch {
-	case errors.Is(err, ErrSessionNotFound):
-		a.writeError(w, http.StatusNotFound, CodeNotFound, "no such session: "+r.PathValue("id"))
-	case errors.Is(err, ErrUnavailable):
-		a.writeUnavailable(w, CodeUnavailable, err.Error())
-	case errors.Is(err, ErrStoreAppend):
-		a.writeUnavailable(w, CodeStoreFailure, err.Error())
-	case err != nil:
-		a.writeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-	default:
-		es := root.StartChild("encode")
-		out, ok := appendBatchResultJSON(sc.buf[:0], &res)
-		sc.buf = out[:0]
-		if !ok {
-			// A non-finite released value cannot be represented in JSON;
-			// fall back to the stdlib path so the failure is accounted the
-			// same way it always was.
-			a.writeJSON(w, http.StatusOK, res)
-			es.End()
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		if _, werr := w.Write(out); werr != nil {
-			a.countEncodeFailure(werr)
-		}
-		es.End()
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, werr := w.Write(out); werr != nil {
+		a.countEncodeFailure(werr)
 	}
 }
 
-// logSlowQuery emits the structured trace line for a /query request that
-// ran at or over the configured threshold. The line carries everything
-// needed to chase the latency: the trace ID, the session, its mechanism,
-// the batch size, the total duration, and how much of it was spent waiting
-// on the WAL group-commit flush.
-func (a *API) logSlowQuery(tr *QueryTrace, id string, batch int, dur int64, err error) {
-	if tr.TraceID == "" {
-		tr.TraceID = newRequestID()
-	}
-	attrs := []any{
-		slog.String("traceId", tr.TraceID),
-		slog.String("session", id),
-		slog.String("mechanism", string(tr.Mechanism)),
-		slog.Int("batch", batch),
-		slog.Duration("duration", time.Duration(dur)),
-		slog.Duration("journalWait", time.Duration(tr.JournalNanos)),
+// decodeQuery reads and decodes a /query body into sc.call.items: an
+// inline single query, or a batch under "queries".
+//
+//svt:hotpath
+func (a *API) decodeQuery(w http.ResponseWriter, r *http.Request, sc *queryScratch) failure {
+	r.Body = http.MaxBytesReader(w, r.Body, a.cfg.MaxBodyBytes)
+	body, err := readBody(r.Body, sc.buf[:0])
+	sc.buf = body[:0]
+	if err == nil {
+		err = json.Unmarshal(body, &sc.req)
 	}
 	if err != nil {
-		attrs = append(attrs, slog.String("error", err.Error()))
+		return a.bodyFailure(err)
 	}
-	a.slow.Warn("slow query", attrs...)
+	sc.call.items = sc.req.Queries
+	if sc.call.items == nil {
+		sc.one[0] = sc.req.QueryItem
+		sc.call.items = sc.one[:]
+	}
+	return failure{}
+}
+
+// bodyFailure maps a request-body read or decode error to its failure:
+// 413 past the body cap, 400 otherwise. It lives outside the
+// //svt:hotpath scope on purpose: a request that fails to decode is
+// already off the fast path, so it may pay for fmt.
+func (a *API) bodyFailure(err error) failure {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return failure{CodeTooLarge, fmt.Sprintf("request body exceeds %d bytes", a.cfg.MaxBodyBytes), 0}
+	}
+	return failure{CodeBadRequest, "bad request body: " + err.Error(), 0}
 }
 
 // appendBatchResultJSON encodes a BatchResult exactly as encoding/json

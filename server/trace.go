@@ -53,7 +53,7 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("minMs"); s != "" {
 		ms, err := strconv.ParseFloat(s, 64)
 		if err != nil || ms < 0 {
-			a.writeError(w, http.StatusBadRequest, CodeBadRequest, "minMs must be a non-negative number")
+			a.writeFailure(w, failure{CodeBadRequest, "minMs must be a non-negative number", 0})
 			return
 		}
 		minDur = time.Duration(ms * float64(time.Millisecond))
@@ -62,12 +62,12 @@ func (a *API) handleTraces(w http.ResponseWriter, r *http.Request) {
 	if s := q.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
-			a.writeError(w, http.StatusBadRequest, CodeBadRequest, "limit must be a positive integer")
+			a.writeFailure(w, failure{CodeBadRequest, "limit must be a positive integer", 0})
 			return
 		}
 		limit = n
 	}
-	sums := a.tracer.Recent(q.Get("route"), minDur, limit)
+	sums := a.query.tracer.Recent(q.Get("route"), minDur, limit)
 	if sums == nil {
 		sums = []trace.Summary{} // render [] rather than null
 	}
@@ -82,9 +82,9 @@ func (a *API) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	v, ok := a.tracer.Lookup(id)
+	v, ok := a.query.tracer.Lookup(id)
 	if !ok {
-		a.writeError(w, http.StatusNotFound, CodeNotFound, "no retained trace: "+id)
+		a.writeFailure(w, failure{CodeNotFound, "no retained trace: " + id, 0})
 		return
 	}
 	a.writeJSON(w, http.StatusOK, v)

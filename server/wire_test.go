@@ -712,7 +712,7 @@ func wireQueryAllocs(t *testing.T, m *SessionManager, cfg WireConfig) float64 {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the pools and the session intern map
+	run() // warm the pools
 	return testing.AllocsPerRun(200, run)
 }
 

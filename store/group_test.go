@@ -349,7 +349,11 @@ func testWALGroupCommitUnderRotation(t *testing.T, cfg WALConfig) {
 	const goroutines, per = 4, 100
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	// rotated is joined before Close: a Commit still in flight when the
+	// directory is reopened would have its temp snapshot swept by open.
+	rotated := make(chan struct{})
 	go func() {
+		defer close(rotated)
 		for {
 			select {
 			case <-stop:
@@ -392,6 +396,7 @@ func testWALGroupCommitUnderRotation(t *testing.T, cfg WALConfig) {
 	}
 	wg.Wait()
 	close(stop)
+	<-rotated
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -151,6 +151,13 @@ type Root struct {
 // is correlated with; route labels the trace for filtering and the
 // slowest-per-route reservoir. Nil-safe: a nil Tracer returns a nil span.
 func (t *Tracer) StartRoot(name, route, requestID string, id TraceID) *Span {
+	return t.StartRootAt(name, route, requestID, id, Now())
+}
+
+// StartRootAt is StartRoot for a request whose handling began at start, an
+// earlier Now value: an edge that can make the sampling decision only
+// after decoding still roots the trace where the decode began.
+func (t *Tracer) StartRootAt(name, route, requestID string, id TraceID, start int64) *Span {
 	if t == nil {
 		return nil
 	}
@@ -164,9 +171,9 @@ func (t *Tracer) StartRoot(name, route, requestID string, id TraceID) *Span {
 		spanID:    mintSpanID(),
 		requestID: requestID,
 		route:     route,
-		wallStart: time.Now(),
+		wallStart: time.Now().Add(time.Duration(start - Now())),
 	}
-	r.span = Span{name: name, start: Now(), root: r}
+	r.span = Span{name: name, start: start, root: r}
 	return &r.span
 }
 

@@ -125,6 +125,24 @@ func TestSpanTreeAndFinalize(t *testing.T) {
 	}
 }
 
+// TestStartRootAt: a root backdated to an earlier Now value starts there,
+// so a child measured from that instant (an edge's decode, timed before
+// the sampling decision) keeps its full interval instead of being clamped.
+func TestStartRootAt(t *testing.T) {
+	tr := New(Config{SampleEvery: 1})
+	t0 := Now()
+	time.Sleep(time.Millisecond)
+	root := tr.StartRootAt("wire", "wire:query", "req-at", TraceID{}, t0)
+	decode := root.AttachChild("decode", t0, Now())
+	root.End()
+	if start, _ := root.Bounds(); start != t0 {
+		t.Fatalf("root starts at %d, want the backdated %d", start, t0)
+	}
+	if start, end := decode.Bounds(); start != t0 || end-start < int64(time.Millisecond) {
+		t.Fatalf("decode child [%d, %d] lost its interval from %d", start, end, t0)
+	}
+}
+
 // TestRingEvictionAndSlowestReservoir: the ring keeps the last Capacity
 // roots; the reservoir keeps each route's slowest beyond that, capped at
 // MaxRoutes routes.

@@ -68,6 +68,9 @@ type SessionStatus struct {
 	Budget    Budget    `json:"budget"`
 	CreatedAt time.Time `json:"createdAt"`
 	ExpiresAt time.Time `json:"expiresAt"`
+	// Synthetic is a pmw session's public synthetic histogram; nil for
+	// every other mechanism.
+	Synthetic []float64 `json:"synthetic,omitempty"`
 }
 
 // CreateResponse is what Create returns.

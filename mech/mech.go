@@ -148,6 +148,19 @@ type Instance interface {
 	UnmarshalState(data []byte) error
 }
 
+// SyntheticReleaser is the optional interface of histogram mediators: the
+// session layer type-asserts an Instance to it and, when it holds, returns
+// the mediator's public synthetic histogram with the session status. The
+// histogram is built only from released outputs: a uniform prior over the
+// dataset size (public in the multiplicative-weights construction), moved
+// only by updates whose noisy answers were already released. Releasing it
+// again is post-processing and spends no privacy budget. Every
+// NeedsHistogram mechanism implements it and no other does.
+type SyntheticReleaser interface {
+	// Synthetic returns a copy of the current synthetic histogram.
+	Synthetic() []float64
+}
+
 // ---- Opaque state blob formats ----
 //
 // Each mechanism owns its blob layout; these two are exported because the

@@ -122,9 +122,5 @@ func (m *pmwInstance) UnmarshalState(data []byte) error {
 	return m.e.RestoreSynthetic(hist)
 }
 
-// Synthetic exposes the mediator's public synthetic histogram for
-// diagnostics and tests; it is already public information.
+// Synthetic implements SyntheticReleaser.
 func (m *pmwInstance) Synthetic() []float64 { return m.e.Synthetic() }
-
-// Updates reports how many real-data accesses have happened.
-func (m *pmwInstance) Updates() int { return m.e.Updates() }

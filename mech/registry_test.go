@@ -102,3 +102,21 @@ func TestFactoriesValidateTheirOwnParams(t *testing.T) {
 		}
 	}
 }
+
+// TestSyntheticReleaserMatchesNeedsHistogram pins the capability gate the
+// session status leans on: every histogram mediator releases its synthetic
+// histogram, and no other mechanism does, so a future mediator cannot
+// silently leave its status field out.
+func TestSyntheticReleaserMatchesNeedsHistogram(t *testing.T) {
+	for _, f := range Default.Factories() {
+		p := conformanceParams(f, 1)
+		r, ok := mustNew(t, f, p).(SyntheticReleaser)
+		if ok != f.Caps.NeedsHistogram {
+			t.Errorf("%s: implements SyntheticReleaser = %v, NeedsHistogram = %v", f.Name, ok, f.Caps.NeedsHistogram)
+			continue
+		}
+		if ok && len(r.Synthetic()) != len(p.Histogram) {
+			t.Errorf("%s: synthetic histogram has %d buckets, want %d", f.Name, len(r.Synthetic()), len(p.Histogram))
+		}
+	}
+}

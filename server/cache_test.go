@@ -1,6 +1,7 @@
 package server
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -99,7 +100,7 @@ func TestCachedSessionSurvivesRestart(t *testing.T) {
 	if _, isCached := got.inst.(interface{ Hits() uint64 }); !isCached {
 		t.Fatalf("recovered instance is %T, want a cache-wrapped instance with Hits()", got.inst)
 	}
-	if gotSt := durableStatus(got.Status()); gotSt != want {
+	if gotSt := durableStatus(got.Status()); !reflect.DeepEqual(gotSt, want) {
 		t.Fatalf("recovered status:\n got  %+v\n want %+v", gotSt, want)
 	}
 	// The rebuilt cache is cold but serving works.

@@ -64,7 +64,8 @@ const (
 //	GET    /v1/mechanisms          registry-driven mechanism discovery with
 //	                               capability flags
 //	POST   /v1/sessions            create  {mechanism, epsilon, maxPositives, threshold, ...}
-//	GET    /v1/sessions/{id}       status: answered, positives, remaining, (ε₁, ε₂, ε₃)
+//	GET    /v1/sessions/{id}       status: answered, positives, remaining, (ε₁, ε₂, ε₃),
+//	                               and pmw's public synthetic histogram
 //	POST   /v1/sessions/{id}/query one query {query, threshold} / {buckets}
 //	                               or a batch {queries: [...]}
 //	DELETE /v1/sessions/{id}       end the session

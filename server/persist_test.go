@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -139,7 +140,7 @@ func TestRestartRecoveryAllMechanisms(t *testing.T) {
 		if !ok {
 			t.Fatalf("session %s lost across restart", id)
 		}
-		if got := durableStatus(s.Status()); got != want[id] {
+		if got := durableStatus(s.Status()); !reflect.DeepEqual(got, want[id]) {
 			t.Errorf("session %s status diverged:\n got  %+v\n want %+v", id, got, want[id])
 		}
 	}
@@ -225,7 +226,7 @@ func TestRecoveryAfterSnapshotPlusTail(t *testing.T) {
 
 	m2, _ := openWALManager(t, dir)
 	got := durableStatus(mustStatus(t, m2, s.ID()))
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("snapshot+tail recovery diverged:\n got  %+v\n want %+v", got, want)
 	}
 	if got.Answered != 3 || got.Positives != 2 {
@@ -325,7 +326,7 @@ func TestRecoveryToleratesTornJournalTail(t *testing.T) {
 
 	m2, _ := openWALManager(t, dir)
 	got := durableStatus(mustStatus(t, m2, s.ID()))
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("torn-tail recovery:\n got  %+v\n want %+v (state before the torn event)", got, want)
 	}
 }
@@ -580,7 +581,7 @@ func TestLegacyV2WALRecovers(t *testing.T) {
 		t.Fatalf("dpbook legacy ρ not reinstalled: state %x, want RhoStateBlob(2.5)", got)
 	}
 	pm, _ := m.Get("pmw-legacy")
-	if got := pmwSynthetic(t, pm); got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	if got := pm.Status().Synthetic; got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("pmw legacy synthetic %v, want the journaled [1 2 3]", got)
 	}
 	// Recovered legacy sessions keep serving and re-journal as v3.

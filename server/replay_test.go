@@ -9,6 +9,7 @@ package server
 // and never re-emits one the analyst may already have observed.
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/dpgo/svt/mech"
@@ -199,7 +200,7 @@ func TestCrashBetweenRotationAndBaselineWrite(t *testing.T) {
 
 	m2, _ := openWALManager(t, dir)
 	got := durableStatus(mustStatus(t, m2, s.ID()))
-	if got != want {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("recovery across a torn snapshot generation lost events:\n got  %+v\n want %+v", got, want)
 	}
 	if got.Answered != 4 || got.Positives != 3 {
@@ -226,26 +227,6 @@ func TestSnapshotFailureSurfacedInStats(t *testing.T) {
 	}
 }
 
-// pmwSynthetic reaches through the mechanism seam for the mediator's
-// public synthetic histogram; pmwUpdates for its real-data access count.
-func pmwSynthetic(t *testing.T, s *Session) []float64 {
-	t.Helper()
-	m, ok := s.inst.(interface{ Synthetic() []float64 })
-	if !ok {
-		t.Fatalf("session mechanism %T exposes no synthetic histogram", s.inst)
-	}
-	return m.Synthetic()
-}
-
-func pmwUpdates(t *testing.T, s *Session) int {
-	t.Helper()
-	m, ok := s.inst.(interface{ Updates() int })
-	if !ok {
-		t.Fatalf("session mechanism %T exposes no update count", s.inst)
-	}
-	return m.Updates()
-}
-
 // TestPMWRecoveryKeepsLearnedSynthetic requires a recovered pmw session to
 // resume from its learned synthetic histogram rather than the uniform
 // prior, whether the state came from a snapshot baseline or only from
@@ -264,10 +245,10 @@ func TestPMWRecoveryKeepsLearnedSynthetic(t *testing.T) {
 			for i := 0; i < 8; i++ {
 				mustQuery(t, m1, s.ID(), []QueryItem{{Buckets: []int{4}}})
 			}
-			if pmwUpdates(t, s) == 0 {
+			if s.Status().Positives == 0 {
 				t.Fatal("setup: no pmw updates happened; the test would be vacuous")
 			}
-			learned := pmwSynthetic(t, s)
+			learned := s.Status().Synthetic
 			if snapshot {
 				if err := m1.SnapshotNow(); err != nil {
 					t.Fatal(err)
@@ -280,7 +261,7 @@ func TestPMWRecoveryKeepsLearnedSynthetic(t *testing.T) {
 			if !ok {
 				t.Fatal("pmw session lost across restart")
 			}
-			got := pmwSynthetic(t, rec)
+			got := rec.Status().Synthetic
 			for i := range learned {
 				if got[i] != learned[i] {
 					t.Fatalf("synthetic[%d] = %v after recovery, want learned value %v (uniform restart?)", i, got[i], learned[i])

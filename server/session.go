@@ -159,6 +159,9 @@ type SessionStatus struct {
 	Budget    Budget    `json:"budget"`
 	CreatedAt time.Time `json:"createdAt"`
 	ExpiresAt time.Time `json:"expiresAt"`
+	// Synthetic is a histogram mediator's public synthetic histogram (see
+	// mech.SyntheticReleaser); absent for every other mechanism.
+	Synthetic []float64 `json:"synthetic,omitempty"`
 }
 
 // Session is one live mechanism instance. All mechanism access is
@@ -398,7 +401,7 @@ func (s *Session) queryTake(items []QueryItem, dst []QueryResult, take bool) (Ba
 func (s *Session) Status() SessionStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return SessionStatus{
+	st := SessionStatus{
 		ID:        s.id,
 		Mechanism: s.mech,
 		Answered:  s.answered,
@@ -409,6 +412,10 @@ func (s *Session) Status() SessionStatus {
 		CreatedAt: s.createdAt,
 		ExpiresAt: time.Unix(0, s.expiresAt.Load()),
 	}
+	if r, ok := s.inst.(mech.SyntheticReleaser); ok {
+		st.Synthetic = r.Synthetic()
+	}
+	return st
 }
 
 // Budget returns the session's realized budget split.

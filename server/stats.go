@@ -65,23 +65,11 @@ type Stats struct {
 // which is the usual and acceptable trade for a stats endpoint that never
 // serializes the data path.
 func (m *SessionManager) Stats() Stats {
-	st := Stats{
-		Live:      m.Len(),
-		Shards:    len(m.shards),
-		Queries:   make(map[Mechanism]uint64, len(m.mechNames)),
-		Positives: make(map[Mechanism]uint64, len(m.mechNames)),
-		Halts:     make(map[Mechanism]uint64, len(m.mechNames)),
-		ShardLive: make([]int, len(m.shards)),
-	}
+	st := m.counterTotals()
+	st.Live = m.Len()
+	st.Shards = len(m.shards)
+	st.ShardLive = make([]int, len(m.shards))
 	for i, sh := range m.shards {
-		st.Created += sh.created.Load()
-		st.Deleted += sh.deleted.Load()
-		st.Expired += sh.expired.Load()
-		for j, name := range m.mechNames {
-			st.Queries[name] += sh.queries[j].Load()
-			st.Positives[name] += sh.positives[j].Load()
-			st.Halts[name] += sh.halts[j].Load()
-		}
 		sh.mu.RLock()
 		st.ShardLive[i] = len(sh.sessions)
 		sh.mu.RUnlock()
@@ -101,6 +89,30 @@ func (m *SessionManager) Stats() Stats {
 	if age, ok := m.SnapshotAge(); ok {
 		secs := age.Seconds()
 		st.SnapshotAgeSeconds = &secs
+	}
+	return st
+}
+
+// counterTotals sums the per-shard lifecycle and per-mechanism counters
+// into Created/Deleted/Expired and Queries/Positives/Halts, leaving every
+// other field zero. It is the one summation behind both GET /v1/stats and
+// the /metrics counter families, so the two can never disagree on how a
+// count is taken.
+func (m *SessionManager) counterTotals() Stats {
+	st := Stats{
+		Queries:   make(map[Mechanism]uint64, len(m.mechNames)),
+		Positives: make(map[Mechanism]uint64, len(m.mechNames)),
+		Halts:     make(map[Mechanism]uint64, len(m.mechNames)),
+	}
+	for _, sh := range m.shards {
+		st.Created += sh.created.Load()
+		st.Deleted += sh.deleted.Load()
+		st.Expired += sh.expired.Load()
+		for j, name := range m.mechNames {
+			st.Queries[name] += sh.queries[j].Load()
+			st.Positives[name] += sh.positives[j].Load()
+			st.Halts[name] += sh.halts[j].Load()
+		}
 	}
 	return st
 }

@@ -148,33 +148,17 @@ func (m *SessionManager) registerManagerTelemetry(reg *telemetry.Registry) *mana
 		func(emit func(string, float64)) { emit("", float64(m.recoveredSessions)) })
 	reg.NewCollector("svt_session_events_total", "Session lifecycle events by type.", "counter",
 		func(emit func(string, float64)) {
-			var created, deleted, expired uint64
-			for _, sh := range m.shards {
-				created += sh.created.Load()
-				deleted += sh.deleted.Load()
-				expired += sh.expired.Load()
-			}
-			emit(telemetry.Label("event", "created"), float64(created))
-			emit(telemetry.Label("event", "deleted"), float64(deleted))
-			emit(telemetry.Label("event", "expired"), float64(expired))
+			st := m.counterTotals()
+			emit(telemetry.Label("event", "created"), float64(st.Created))
+			emit(telemetry.Label("event", "deleted"), float64(st.Deleted))
+			emit(telemetry.Label("event", "expired"), float64(st.Expired))
 		})
-	perMech := func(counters func(sh *shard) []atomic.Uint64) func(emit func(string, float64)) {
-		return func(emit func(string, float64)) {
-			for i, name := range m.mechNames {
-				var n uint64
-				for _, sh := range m.shards {
-					n += counters(sh)[i].Load()
-				}
-				emit(telemetry.Label("mechanism", string(name)), float64(n))
-			}
-		}
-	}
 	reg.NewCollector("svt_queries_total", "Answered queries by mechanism.", "counter",
-		perMech(func(sh *shard) []atomic.Uint64 { return sh.queries }))
+		func(emit func(string, float64)) { m.emitByMechanism(emit, m.counterTotals().Queries) })
 	reg.NewCollector("svt_query_positives_total", "Positive (budget-consuming) outcomes by mechanism.", "counter",
-		perMech(func(sh *shard) []atomic.Uint64 { return sh.positives }))
+		func(emit func(string, float64)) { m.emitByMechanism(emit, m.counterTotals().Positives) })
 	reg.NewCollector("svt_session_halts_total", "Sessions that transitioned to halted, by mechanism.", "counter",
-		perMech(func(sh *shard) []atomic.Uint64 { return sh.halts }))
+		func(emit func(string, float64)) { m.emitByMechanism(emit, m.counterTotals().Halts) })
 	reg.NewCollector("svt_snapshot_failures_total", "Failed journal-compaction snapshots.", "counter",
 		func(emit func(string, float64)) { emit("", float64(m.snapFailures.Load())) })
 	reg.NewCollector("svt_snapshot_age_seconds",
@@ -211,6 +195,14 @@ func (m *SessionManager) registerManagerTelemetry(reg *telemetry.Registry) *mana
 		}
 	}
 	return t
+}
+
+// emitByMechanism emits one sample per registered mechanism, in registry
+// order, zero counts included.
+func (m *SessionManager) emitByMechanism(emit func(string, float64), counts map[Mechanism]uint64) {
+	for _, name := range m.mechNames {
+		emit(telemetry.Label("mechanism", string(name)), float64(counts[name]))
+	}
 }
 
 // sampleQueryStart is the manager hot path's sampling decision: true for

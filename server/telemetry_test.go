@@ -493,3 +493,67 @@ func TestTenantSurvivesRecovery(t *testing.T) {
 		})
 	}
 }
+
+// TestStatsMetricsParity requires GET /v1/stats and /metrics to report the
+// same lifecycle and per-mechanism counts after creates, queries, a halt
+// and a delete: both read one summation of the shard counters.
+func TestStatsMetricsParity(t *testing.T) {
+	m, api, _ := newTelemetryStack(t, t.TempDir())
+	halting, err := m.Create(CreateParams{Mechanism: MechSparse, Epsilon: 1, MaxPositives: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustQuery(t, m, halting.ID(), surePositive()) // halts: c=1
+	pm := mustCreate(t, m, pmwParams())
+	for i := 0; i < 4; i++ {
+		mustQuery(t, m, pm.ID(), []QueryItem{{Buckets: []int{i % 6}}})
+	}
+	sv := mustCreate(t, m, sparseParams())
+	mustQuery(t, m, sv.ID(), sureNegative())
+	if !m.Delete(sv.ID()) {
+		t.Fatal("delete found no session")
+	}
+
+	rec := httptest.NewRecorder()
+	api.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("GET /v1/stats: %v: %s", err, rec.Body.String())
+	}
+	if st.Created != 3 || st.Deleted != 1 || st.Halts[MechSparse] != 1 {
+		t.Fatalf("setup: stats %+v, want 3 created, 1 deleted, 1 sparse halt", st)
+	}
+
+	_, fams := scrapeMetrics(t, api)
+	metric := func(family, key, value string) float64 {
+		t.Helper()
+		for _, f := range fams {
+			if f.Name != family {
+				continue
+			}
+			for _, s := range f.Samples {
+				if s.Labels[key] == value {
+					return s.Value
+				}
+			}
+		}
+		t.Fatalf("/metrics has no %s{%s=%q} sample", family, key, value)
+		return 0
+	}
+	for event, n := range map[string]uint64{"created": st.Created, "deleted": st.Deleted, "expired": st.Expired} {
+		if got := metric("svt_session_events_total", "event", event); got != float64(n) {
+			t.Errorf("svt_session_events_total{event=%q} = %v, /v1/stats says %d", event, got, n)
+		}
+	}
+	for family, counts := range map[string]map[Mechanism]uint64{
+		"svt_queries_total":         st.Queries,
+		"svt_query_positives_total": st.Positives,
+		"svt_session_halts_total":   st.Halts,
+	} {
+		for name, n := range counts {
+			if got := metric(family, "mechanism", string(name)); got != float64(n) {
+				t.Errorf("%s{mechanism=%q} = %v, /v1/stats says %d", family, name, got, n)
+			}
+		}
+	}
+}

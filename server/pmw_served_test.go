@@ -312,3 +312,60 @@ func TestServedPMWSession(t *testing.T) {
 		})
 	}
 }
+
+// TestServedPMWJSONErrors pins the JSON error hardening of a pmw session's
+// HTTP routes: unknown paths, wrong methods and oversized bucket queries
+// all get a JSON error body, and none of them moves the session.
+func TestServedPMWJSONErrors(t *testing.T) {
+	srv, _ := newTestAPI(t, ManagerConfig{}, APIConfig{})
+	id := createSession(t, srv.URL, pmwParams()).ID
+	base := srv.URL + "/v1/sessions/" + id
+	expectJSONError := func(resp *http.Response, wantStatus int, wantCode, what string) {
+		t.Helper()
+		defer resp.Body.Close()
+		if resp.StatusCode != wantStatus {
+			t.Errorf("%s: status %d, want %d", what, resp.StatusCode, wantStatus)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s: content-type %q, want application/json", what, ct)
+		}
+		var eb ErrorBody
+		if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil || eb.Error.Code != wantCode {
+			t.Errorf("%s: error body %+v (%v), want code %q", what, eb, err, wantCode)
+		}
+	}
+
+	// Unknown paths under the session get a JSON 404, not the stdlib text page.
+	resp, err := http.Get(base + "/nope")
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectJSONError(resp, http.StatusNotFound, CodeNotFound, "unknown path")
+
+	// Wrong methods on the query route get a JSON 405 with Allow set.
+	resp, err = http.Get(base + "/query")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allow := resp.Header.Get("Allow"); allow != http.MethodPost {
+		t.Errorf("Allow %q, want POST", allow)
+	}
+	expectJSONError(resp, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "GET query")
+
+	// An oversized bucket list gets a JSON 413 instead of being read to the end.
+	big := append([]byte(`{"buckets":[`), bytes.Repeat([]byte("0,"), DefaultMaxBodyBytes)...)
+	big = append(big, "0]}"...)
+	resp, err = http.Post(base+"/query", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectJSONError(resp, http.StatusRequestEntityTooLarge, CodeTooLarge, "oversized body")
+
+	var st SessionStatus
+	if code := doJSON(t, http.MethodGet, base, nil, &st); code != http.StatusOK {
+		t.Fatalf("status: %d", code)
+	}
+	if st.Answered != 0 || st.Positives != 0 || len(st.Synthetic) != len(pmwParams().Histogram) {
+		t.Errorf("rejected requests moved the session: %+v", st)
+	}
+}

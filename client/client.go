@@ -199,7 +199,10 @@ type Client struct {
 	ambiguous    atomic.Uint64
 
 	mechMu sync.Mutex
-	mechs  map[string]MechanismInfo
+	// mechList is the server's registry in the server's order (sorted by
+	// name); mechs indexes it by name.
+	mechList []MechanismInfo
+	mechs    map[string]MechanismInfo
 }
 
 // clientConn is one connection epoch: socket, buffers, pending map and
@@ -220,10 +223,41 @@ type clientConn struct {
 	done    chan struct{}
 }
 
+// roundTripResult is one response frame handed from readLoop to its
+// waiter. body aliases *frame, a pooled buffer the waiter owns: it must
+// release the buffer with putBuf once the body is decoded, and nothing
+// decoded from body may alias it.
 type roundTripResult struct {
-	op   byte
-	body []byte
+	op    byte
+	body  []byte
+	frame *[]byte
 }
+
+// maxPooledBuf bounds the buffers bufPool keeps: a rare large frame is
+// left to the GC rather than pinned for the life of the process.
+const maxPooledBuf = 64 << 10
+
+// bufPool recycles the query path's byte buffers: the payload each call
+// encodes its request into, and the frame readLoop reads each response
+// into and hands to the waiter.
+var bufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
+
+func putBuf(b *[]byte) {
+	if cap(*b) > maxPooledBuf {
+		return
+	}
+	*b = (*b)[:0]
+	bufPool.Put(b)
+}
+
+// replyPool recycles the one-slot reply channels. A channel goes back only
+// after its waiter received on it: readLoop deletes a channel from pending
+// before it sends, and request IDs are never reused, so nothing can send
+// on it again. A channel abandoned on an error path is dropped instead,
+// since readLoop may still be about to send on it.
+var replyPool = sync.Pool{New: func() any { return make(chan roundTripResult, 1) }}
 
 // Dial connects, performs the hello handshake and starts the response
 // reader. The initial dial is eager and not retried: a config problem
@@ -381,16 +415,18 @@ func (cc *clientConn) dead() bool {
 }
 
 // readLoop is the epoch's single response reader: it matches frames to
-// waiting calls by request ID. Responses may arrive in any order.
+// waiting calls by request ID. Responses may arrive in any order. Each
+// frame is read into a pooled buffer that is handed to its waiter whole;
+// a frame nobody waits for leaves its buffer to the next read.
 func (cc *clientConn) readLoop(maxFrame int) {
-	var buf []byte
+	frame := getBuf()
 	for {
-		payload, err := wire.ReadFrame(cc.br, buf, maxFrame)
+		payload, err := wire.ReadFrame(cc.br, *frame, maxFrame)
 		if err != nil {
 			cc.fail(err)
 			return
 		}
-		buf = payload
+		*frame = payload
 		op, id, body, err := wire.ParseHeader(payload)
 		if err != nil {
 			cc.fail(err)
@@ -401,9 +437,8 @@ func (cc *clientConn) readLoop(maxFrame int) {
 		delete(cc.pending, id)
 		cc.mu.Unlock()
 		if ch != nil {
-			// The frame buffer is reused for the next read; hand the
-			// waiter its own copy.
-			ch <- roundTripResult{op: op, body: append([]byte(nil), body...)}
+			ch <- roundTripResult{op: op, body: body, frame: frame}
+			frame = getBuf()
 		}
 	}
 }
@@ -468,7 +503,7 @@ func (c *Client) Stats() Stats {
 // partial frame is dropped by the server's codec, never executed),
 // which makes retrying safe for any operation.
 func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult, sent bool, err error) {
-	ch := make(chan roundTripResult, 1)
+	ch := replyPool.Get().(chan roundTripResult)
 	cc.mu.Lock()
 	if cc.err != nil {
 		err := cc.err
@@ -496,12 +531,14 @@ func (cc *clientConn) roundTrip(id uint64, payload []byte) (res roundTripResult,
 
 	select {
 	case res := <-ch:
+		replyPool.Put(ch)
 		return res, true, nil
 	case <-cc.done:
 		// The response may have been delivered concurrently with the
 		// epoch dying; prefer it over reporting ambiguity.
 		select {
 		case res := <-ch:
+			replyPool.Put(ch)
 			return res, true, nil
 		default:
 		}
@@ -583,8 +620,11 @@ func (c *Client) sleep(d time.Duration) bool {
 
 // call runs one logical request through the retry loop: get (or
 // re-dial) a connection, round-trip, classify the failure, back off,
-// repeat within the policy's attempt budget.
-func (c *Client) call(kind opKind, want byte, build func(id uint64) []byte) ([]byte, error) {
+// repeat within the policy's attempt budget. build appends the request
+// payload for request ID id to dst, a pooled buffer; decode (nil to
+// ignore the body) reads the wanted response body, which is released as
+// soon as decode returns, so decode must copy whatever it keeps.
+func (c *Client) call(kind opKind, want byte, build func(dst []byte, id uint64) []byte, decode func(body []byte) error) error {
 	pol := c.policy
 	var lastErr error
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -594,48 +634,52 @@ func (c *Client) call(kind opKind, want byte, build func(id uint64) []byte) ([]b
 		cc, err := c.conn()
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
-				return nil, ErrClosed
+				return ErrClosed
 			}
 			lastErr = err
 			if !c.sleep(backoff(pol, attempt)) {
-				return nil, ErrClosed
+				return ErrClosed
 			}
 			continue
 		}
 		id := c.nextID.Add(1)
-		res, sent, err := cc.roundTrip(id, build(id))
+		buf := getBuf()
+		*buf = build(*buf, id)
+		res, sent, err := cc.roundTrip(id, *buf)
+		putBuf(buf)
 		if err == nil {
-			body, aerr := expect(res, want)
+			aerr := expect(res, want, decode)
+			putBuf(res.frame)
 			if aerr == nil {
-				return body, nil
+				return nil
 			}
 			var ae *APIError
 			if errors.As(aerr, &ae) && attempt+1 < pol.MaxAttempts {
 				if wait, ok := retryableAPIError(ae, pol); ok {
 					lastErr = aerr
 					if !c.sleep(wait) {
-						return nil, ErrClosed
+						return ErrClosed
 					}
 					continue
 				}
 			}
-			return nil, aerr
+			return aerr
 		}
 		// Transport-level failure. Close always wins: pending calls on a
 		// user-closed client fail fast with the typed error.
 		if errors.Is(err, ErrClosed) || c.isClosed() {
-			return nil, ErrClosed
+			return ErrClosed
 		}
 		if sent && kind == opMutating {
 			c.ambiguous.Add(1)
-			return nil, fmt.Errorf("%w: %v", ErrAmbiguous, err)
+			return fmt.Errorf("%w: %v", ErrAmbiguous, err)
 		}
 		lastErr = err
 		if attempt+1 < pol.MaxAttempts && !c.sleep(backoff(pol, attempt)) {
-			return nil, ErrClosed
+			return ErrClosed
 		}
 	}
-	return nil, lastErr
+	return lastErr
 }
 
 func decodeAPIError(body []byte) error {
@@ -650,55 +694,57 @@ func decodeAPIError(body []byte) error {
 	}
 }
 
-// expect unwraps a response: the wanted op's body, a typed APIError, or
-// a protocol error.
-func expect(res roundTripResult, op byte) ([]byte, error) {
+// expect unwraps a response: the wanted op's body through decode, a
+// typed APIError, or a protocol error.
+func expect(res roundTripResult, op byte, decode func(body []byte) error) error {
 	switch res.op {
 	case op:
-		return res.body, nil
+		if decode == nil {
+			return nil
+		}
+		return decode(res.body)
 	case wire.OpError:
-		return nil, decodeAPIError(res.body)
+		return decodeAPIError(res.body)
 	default:
-		return nil, fmt.Errorf("client: unexpected response op %#x, want %#x", res.op, op)
+		return fmt.Errorf("client: unexpected response op %#x, want %#x", res.op, op)
 	}
 }
 
 // Mechanisms returns the server's mechanism registry with capability
-// flags, fetched once and cached for the life of the client.
+// flags, in the server's order, fetched once and cached for the life of
+// the client.
 func (c *Client) Mechanisms() ([]MechanismInfo, error) {
-	infos, err := c.mechanismTable()
+	list, _, err := c.mechanismTable()
 	if err != nil {
 		return nil, err
 	}
-	out := make([]MechanismInfo, 0, len(infos))
-	for _, mi := range infos {
-		out = append(out, mi)
-	}
-	return out, nil
+	return append([]MechanismInfo(nil), list...), nil
 }
 
-func (c *Client) mechanismTable() (map[string]MechanismInfo, error) {
+func (c *Client) mechanismTable() ([]MechanismInfo, map[string]MechanismInfo, error) {
 	c.mechMu.Lock()
 	defer c.mechMu.Unlock()
 	if c.mechs != nil {
-		return c.mechs, nil
-	}
-	body, err := c.call(opIdempotent, wire.OpMechanismsOK, func(id uint64) []byte {
-		return wire.AppendHeader(nil, wire.OpMechanisms, id)
-	})
-	if err != nil {
-		return nil, err
+		return c.mechList, c.mechs, nil
 	}
 	var mr MechanismsResponse
-	if err := json.Unmarshal(body, &mr); err != nil {
-		return nil, fmt.Errorf("client: bad mechanisms body: %w", err)
+	err := c.call(opIdempotent, wire.OpMechanismsOK, func(dst []byte, id uint64) []byte {
+		return wire.AppendHeader(dst, wire.OpMechanisms, id)
+	}, func(body []byte) error {
+		if err := json.Unmarshal(body, &mr); err != nil {
+			return fmt.Errorf("client: bad mechanisms body: %w", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	mechs := make(map[string]MechanismInfo, len(mr.Mechanisms))
 	for _, mi := range mr.Mechanisms {
 		mechs[mi.Name] = mi
 	}
-	c.mechs = mechs
-	return mechs, nil
+	c.mechList, c.mechs = mr.Mechanisms, mechs
+	return c.mechList, c.mechs, nil
 }
 
 // validateCreate checks params against the server's advertised
@@ -707,15 +753,15 @@ func (c *Client) mechanismTable() (map[string]MechanismInfo, error) {
 // through it immediately, and requests a mechanism cannot serve are
 // refused with the reason.
 func (c *Client) validateCreate(params *CreateParams) error {
-	mechs, err := c.mechanismTable()
+	list, mechs, err := c.mechanismTable()
 	if err != nil {
 		return err
 	}
 	mi, ok := mechs[params.Mechanism]
 	if !ok {
-		names := make([]string, 0, len(mechs))
-		for name := range mechs {
-			names = append(names, name)
+		names := make([]string, len(list))
+		for i, mi := range list {
+			names[i] = mi.Name
 		}
 		return fmt.Errorf("client: unknown mechanism %q (server offers %s)",
 			params.Mechanism, strings.Join(names, ", "))
@@ -750,15 +796,17 @@ func (c *Client) Create(params CreateParams) (*CreateResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	respBody, err := c.call(opMutating, wire.OpCreateOK, func(id uint64) []byte {
-		return append(wire.AppendHeader(nil, wire.OpCreate, id), body...)
+	var cr CreateResponse
+	err = c.call(opMutating, wire.OpCreateOK, func(dst []byte, id uint64) []byte {
+		return append(wire.AppendHeader(dst, wire.OpCreate, id), body...)
+	}, func(respBody []byte) error {
+		if err := json.Unmarshal(respBody, &cr); err != nil {
+			return fmt.Errorf("client: bad create response: %w", err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	var cr CreateResponse
-	if err := json.Unmarshal(respBody, &cr); err != nil {
-		return nil, fmt.Errorf("client: bad create response: %w", err)
 	}
 	return &cr, nil
 }
@@ -781,44 +829,54 @@ func (c *Client) QueryID(session, requestID string, items []QueryItem) (*BatchRe
 	if max := c.ServerMaxBatch(); max > 0 && len(items) > max {
 		return nil, fmt.Errorf("client: batch of %d exceeds the server cap of %d", len(items), max)
 	}
-	witems := make([]wire.QueryItem, len(items))
-	for i, it := range items {
-		witems[i] = wire.QueryItem{Query: it.Query, Buckets: it.Buckets}
-		if it.Threshold != nil {
-			witems[i].Threshold = *it.Threshold
-			witems[i].HasThreshold = true
+	// The items are encoded straight from the caller's slice, and the
+	// response is decoded into storage that is then handed to the caller:
+	// the result is all this path allocates.
+	var qr wire.QueryResponse
+	var corr string
+	err := c.call(opMutating, wire.OpQueryOK, func(dst []byte, id uint64) []byte {
+		dst = wire.AppendQueryHead(wire.AppendHeader(dst, wire.OpQuery, id), session, requestID, len(items))
+		for i := range items {
+			it := &items[i]
+			var threshold float64
+			if it.Threshold != nil {
+				threshold = *it.Threshold
+			}
+			dst = wire.AppendQueryItem(dst, it.Query, threshold, it.Threshold != nil, it.Buckets)
 		}
-	}
-	body, err := c.call(opMutating, wire.OpQueryOK, func(id uint64) []byte {
-		return wire.AppendQueryBody(wire.AppendHeader(nil, wire.OpQuery, id), session, requestID, witems)
+		return dst
+	}, func(body []byte) error {
+		if err := wire.DecodeQueryOKBody(body, &qr); err != nil {
+			return err
+		}
+		corr = string(qr.Corr) // qr.Corr aliases the frame, released on return
+		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-	var qr wire.QueryResponse
-	if err := wire.DecodeQueryOKBody(body, &qr); err != nil {
 		return nil, err
 	}
 	return &BatchResult{
 		Results:   qr.Results,
 		Halted:    qr.Halted,
 		Remaining: qr.Remaining,
-		RequestID: string(qr.Corr),
+		RequestID: corr,
 	}, nil
 }
 
 // Status fetches a session's current state. Status is read-only and
 // retries through any transport failure.
 func (c *Client) Status(session string) (*SessionStatus, error) {
-	body, err := c.call(opIdempotent, wire.OpStatusOK, func(id uint64) []byte {
-		return wire.AppendIDBody(wire.AppendHeader(nil, wire.OpStatus, id), session)
+	var st SessionStatus
+	err := c.call(opIdempotent, wire.OpStatusOK, func(dst []byte, id uint64) []byte {
+		return wire.AppendIDBody(wire.AppendHeader(dst, wire.OpStatus, id), session)
+	}, func(body []byte) error {
+		if err := json.Unmarshal(body, &st); err != nil {
+			return fmt.Errorf("client: bad status response: %w", err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	var st SessionStatus
-	if err := json.Unmarshal(body, &st); err != nil {
-		return nil, fmt.Errorf("client: bad status response: %w", err)
 	}
 	return &st, nil
 }
@@ -827,10 +885,9 @@ func (c *Client) Status(session string) (*SessionStatus, error) {
 // unanswered delete fails with ErrAmbiguous (a retry could report
 // not_found for a delete that actually succeeded).
 func (c *Client) Delete(session string) error {
-	_, err := c.call(opMutating, wire.OpDeleteOK, func(id uint64) []byte {
-		return wire.AppendIDBody(wire.AppendHeader(nil, wire.OpDelete, id), session)
-	})
-	return err
+	return c.call(opMutating, wire.OpDeleteOK, func(dst []byte, id uint64) []byte {
+		return wire.AppendIDBody(wire.AppendHeader(dst, wire.OpDelete, id), session)
+	}, nil)
 }
 
 // ServerMaxBatch reports the per-batch query cap the server announced in

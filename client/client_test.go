@@ -28,6 +28,13 @@ func startServer(t *testing.T, cfg server.WireConfig) (string, *server.WireServe
 	t.Helper()
 	m := server.NewSessionManager(server.ManagerConfig{})
 	t.Cleanup(m.Close)
+	return serveManager(t, m, cfg)
+}
+
+// serveManager runs a WireServer for m on an ephemeral loopback port and
+// shuts it down with the test.
+func serveManager(t *testing.T, m *server.SessionManager, cfg server.WireConfig) (string, *server.WireServer) {
+	t.Helper()
 	ws := server.NewWireServer(m, cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

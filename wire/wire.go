@@ -333,30 +333,50 @@ type QueryRequest struct {
 	buckets []int
 }
 
-// AppendQueryBody appends a query batch to dst.
+// AppendQueryBody appends a query batch to dst: AppendQueryHead followed
+// by one AppendQueryItem per item.
 func AppendQueryBody(dst []byte, session, corr string, items []QueryItem) []byte {
-	dst = appendString(dst, session)
-	dst = appendString(dst, corr)
-	dst = binary.AppendUvarint(dst, uint64(len(items)))
+	dst = AppendQueryHead(dst, session, corr, len(items))
 	for i := range items {
 		it := &items[i]
-		var flags byte
-		if it.HasThreshold {
-			flags |= qiHasThreshold
-		}
-		if len(it.Buckets) > 0 {
-			flags |= qiHasBuckets
-		}
-		dst = append(dst, flags)
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(it.Query))
-		if it.HasThreshold {
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(it.Threshold))
-		}
-		if len(it.Buckets) > 0 {
-			dst = binary.AppendUvarint(dst, uint64(len(it.Buckets)))
-			for _, b := range it.Buckets {
-				dst = binary.AppendVarint(dst, int64(b))
-			}
+		dst = AppendQueryItem(dst, it.Query, it.Threshold, it.HasThreshold, it.Buckets)
+	}
+	return dst
+}
+
+// AppendQueryHead appends the head of an OpQuery body: the session, the
+// correlation ID and the count of items that must follow. Encoders that
+// hold their items in another shape (the client SDK) call it and
+// AppendQueryItem directly instead of building a []QueryItem.
+//
+//svt:hotpath
+func AppendQueryHead(dst []byte, session, corr string, n int) []byte {
+	dst = appendString(dst, session)
+	dst = appendString(dst, corr)
+	return binary.AppendUvarint(dst, uint64(n))
+}
+
+// AppendQueryItem appends one OpQuery item; threshold is encoded only
+// when hasThreshold is set, and buckets only when non-empty.
+//
+//svt:hotpath
+func AppendQueryItem(dst []byte, query, threshold float64, hasThreshold bool, buckets []int) []byte {
+	var flags byte
+	if hasThreshold {
+		flags |= qiHasThreshold
+	}
+	if len(buckets) > 0 {
+		flags |= qiHasBuckets
+	}
+	dst = append(dst, flags)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(query))
+	if hasThreshold {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(threshold))
+	}
+	if len(buckets) > 0 {
+		dst = binary.AppendUvarint(dst, uint64(len(buckets)))
+		for _, b := range buckets {
+			dst = binary.AppendVarint(dst, int64(b))
 		}
 	}
 	return dst
